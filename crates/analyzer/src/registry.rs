@@ -79,6 +79,15 @@ pub const SECRET_IDENTS: &[&str] = &[
 /// two-party engines, `vs`/`vr` in the three-party medical runs).
 pub const RAW_VALUE_IDENTS: &[&str] = &["values", "vs", "vr", "raw_values", "plaintexts"];
 
+/// Identifiers that name *hashed set values* — `h(v)` lists that have not
+/// yet been encrypted. The taint pass seeds them with `Taint::HASHED`
+/// wherever they appear, struct fields included (`self.hashes`), so a
+/// helper that holds a party's prepared hashes — the pooled engines'
+/// spill phase — is held to hash-then-encrypt before its records reach
+/// the `push_record` sink, even though the hashing happened in its
+/// caller.
+pub const HASHED_VALUE_IDENTS: &[&str] = &["hashes"];
+
 /// Functions whose *return value* is key material (`Taint::KEY`):
 /// key generation and key derivation. `hkdf::derive` is a source, not a
 /// sanitizer — its output is the session key schedule, which must never
@@ -137,11 +146,6 @@ pub const ENC_SANITIZER_FNS: &[&str] = &[
     "submit_hash_encrypt",
     "encrypt_batch",
     "wait",
-    // crates/core/src/pipeline.rs: accessor extracting the ciphertext
-    // half of the sorted `(codeword, value)` pairing the receivers keep
-    // for local matching; its output is exactly the pool-encrypted
-    // codewords.
-    "sorted_codewords",
     // crates/crypto/src/chacha20.rs: the secure-channel stream cipher.
     "apply_keystream",
     // crates/crypto/src/kcipher.rs: K(κ, ext(v)) payload encryption.
@@ -282,6 +286,11 @@ pub fn is_raw_value_ident(name: &str) -> bool {
     RAW_VALUE_IDENTS.contains(&name)
 }
 
+/// True iff `name` is a registered hashed-value identifier.
+pub fn is_hashed_value_ident(name: &str) -> bool {
+    HASHED_VALUE_IDENTS.contains(&name)
+}
+
 /// True iff calling `name` yields key material.
 pub fn is_key_source_fn(name: &str) -> bool {
     KEY_SOURCE_FNS.contains(&name)
@@ -373,6 +382,8 @@ mod tests {
     fn taint_registry_lookups() {
         assert!(is_raw_value_ident("values"));
         assert!(!is_raw_value_ident("vr_size"));
+        assert!(is_hashed_value_ident("hashes"));
+        assert!(!is_hashed_value_ident("values"));
         assert!(is_key_source_fn("gen_key"));
         assert!(is_hash_sanitizer("prepare_set"));
         assert!(is_enc_sanitizer("pow_multi_ctx"));

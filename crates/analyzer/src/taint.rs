@@ -78,6 +78,9 @@ pub fn analyze_fn(tokens: &[Token], f: &FnDef) -> FnTaint {
         if registry::is_raw_value_ident(&p.name) {
             t |= RAW;
         }
+        if registry::is_hashed_value_ident(&p.name) {
+            t |= HASHED;
+        }
         if p.ty.iter().any(|ty| registry::is_secret_type(ty)) {
             t |= KEY;
         }
@@ -212,6 +215,9 @@ fn eval_no_enc(tokens: &[Token], trees: &[Tree], taint: &FnTaint) -> u8 {
                 }
                 if registry::is_raw_value_ident(name) {
                     t |= RAW;
+                }
+                if registry::is_hashed_value_ident(name) {
+                    t |= HASHED;
                 }
                 if registry::is_key_source_fn(name) && is_paren(trees.get(i + 1)) {
                     t |= KEY;

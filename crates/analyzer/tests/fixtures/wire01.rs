@@ -28,6 +28,21 @@ fn bad_alias_chain<T: Transport>(transport: &mut T, values: &[Vec<u8>]) {
     transport.send_batch(&frame);
 }
 
+fn bad_spilled_field(sorter: &mut ExtSorter, spill: &Spill) {
+    // POSITIVE: prepared hashes held in a struct field, spilled bare.
+    for h in spill.hashes.iter() {
+        sorter.push_record(&frame_bytes(h));
+    }
+}
+
+fn good_spilled_field(sorter: &mut ExtSorter, spill: &Spill, pool: &EncryptPool) {
+    // NEGATIVE: the same field, encrypted before it is spilled.
+    let ys = pool.encrypt_batch(spill.group, spill.key, &spill.hashes);
+    for y in &ys {
+        sorter.push_record(&frame_bytes(y));
+    }
+}
+
 fn good_h_then_enc<T: Transport, R: Rng>(
     group: &QrGroup,
     transport: &mut T,

@@ -5,7 +5,6 @@
 use std::hint::black_box;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use minshare::pipeline::{self, PipelineConfig};
 use minshare::prelude::*;
 use minshare_bench::{bench_group, overlapping_sets};
 use minshare_bignum::montgomery::MontgomeryCtx;
@@ -174,11 +173,27 @@ fn e2e_serial_vs_pipelined(c: &mut Criterion) {
             run_two_party(
                 |t| {
                     let mut rng = StdRng::seed_from_u64(1);
-                    pipeline::run_intersection_sender(t, &g, &vs, &mut rng, &pool, cfg)
+                    shard::run_intersection_sender(
+                        t,
+                        &g,
+                        &vs,
+                        &mut rng,
+                        &pool,
+                        cfg,
+                        &ShardConfig::default(),
+                    )
                 },
                 |t| {
                     let mut rng = StdRng::seed_from_u64(2);
-                    pipeline::run_intersection_receiver(t, &g, &vr, &mut rng, &pool, cfg)
+                    shard::run_intersection_receiver(
+                        t,
+                        &g,
+                        &vr,
+                        &mut rng,
+                        &pool,
+                        cfg,
+                        &ShardConfig::default(),
+                    )
                 },
             )
             .expect("run")
@@ -211,12 +226,30 @@ fn e2e_serial_vs_pipelined(c: &mut Criterion) {
             run_two_party(
                 |t| {
                     let mut rng = StdRng::seed_from_u64(1);
-                    pipeline::run_equijoin_sender(t, &g, &cipher, &entries, &mut rng, &pool, cfg)
+                    shard::run_equijoin_sender(
+                        t,
+                        &g,
+                        &cipher,
+                        &entries,
+                        &mut rng,
+                        &pool,
+                        cfg,
+                        &ShardConfig::default(),
+                    )
                 },
                 |t| {
                     let cipher = HybridCipher::new(g.clone(), 32);
                     let mut rng = StdRng::seed_from_u64(2);
-                    pipeline::run_equijoin_receiver(t, &g, &cipher, &vr, &mut rng, &pool, cfg)
+                    shard::run_equijoin_receiver(
+                        t,
+                        &g,
+                        &cipher,
+                        &vr,
+                        &mut rng,
+                        &pool,
+                        cfg,
+                        &ShardConfig::default(),
+                    )
                 },
             )
             .expect("run")

@@ -2,7 +2,7 @@
 //! perf acceptance criteria — 512-bit fixed-exponent exponentiation
 //! (fixed-4-bit reference vs. scalar sliding windows vs. the multi-lane
 //! interleaved kernel), §6.2 `EncryptPool` scaling, and serial vs.
-//! chunk-pipelined end-to-end wall time for all four protocols.
+//! pooled (one-bucket "pipelined", and sharded) end-to-end wall time.
 //!
 //! All numbers are wall-clock medians on the current host; the host's
 //! logical core count is recorded alongside so a single-core CI box's
@@ -23,7 +23,6 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use minshare::pipeline::{self, PipelineConfig};
 use minshare::prelude::*;
 use minshare_bench::{bench_group, overlapping_sets};
 use minshare_bignum::montgomery::MontgomeryCtx;
@@ -119,7 +118,8 @@ fn pool_speedup_at(text: &str, threads: usize) -> Option<f64> {
 }
 
 /// The four end-to-end rows: wall-clock medians for every protocol, with
-/// pipelined variants where the engines have them.
+/// pipelined rows (the pooled engine at one bucket) for intersection and
+/// equijoin.
 struct E2e {
     inter_serial_s: f64,
     inter_pipelined_s: f64,
@@ -165,11 +165,27 @@ fn measure_e2e(samples: usize) -> E2e {
         run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(1);
-                pipeline::run_intersection_sender(t, &g, &vs, &mut rng, &pool, cfg)
+                shard::run_intersection_sender(
+                    t,
+                    &g,
+                    &vs,
+                    &mut rng,
+                    &pool,
+                    cfg,
+                    &ShardConfig::default(),
+                )
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(2);
-                pipeline::run_intersection_receiver(t, &g, &vr, &mut rng, &pool, cfg)
+                shard::run_intersection_receiver(
+                    t,
+                    &g,
+                    &vr,
+                    &mut rng,
+                    &pool,
+                    cfg,
+                    &ShardConfig::default(),
+                )
             },
         )
         .expect("pipelined intersection");
@@ -224,12 +240,30 @@ fn measure_e2e(samples: usize) -> E2e {
         run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(1);
-                pipeline::run_equijoin_sender(t, &g, &cipher, &entries, &mut rng, &pool, cfg)
+                shard::run_equijoin_sender(
+                    t,
+                    &g,
+                    &cipher,
+                    &entries,
+                    &mut rng,
+                    &pool,
+                    cfg,
+                    &ShardConfig::default(),
+                )
             },
             |t| {
                 let cipher = HybridCipher::new(g.clone(), 32);
                 let mut rng = StdRng::seed_from_u64(2);
-                pipeline::run_equijoin_receiver(t, &g, &cipher, &vr, &mut rng, &pool, cfg)
+                shard::run_equijoin_receiver(
+                    t,
+                    &g,
+                    &cipher,
+                    &vr,
+                    &mut rng,
+                    &pool,
+                    cfg,
+                    &ShardConfig::default(),
+                )
             },
         )
         .expect("pipelined equijoin");

@@ -294,12 +294,28 @@ fn main() -> ExitCode {
                 move |t| {
                     let _trace = minshare_trace::install(metrics_tracer(&s_sink));
                     let mut rng = StdRng::seed_from_u64(7);
-                    pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, chunked())
+                    shard::run_intersection_sender(
+                        t,
+                        g,
+                        &s_vals,
+                        &mut rng,
+                        p,
+                        chunked(),
+                        &ShardConfig::default(),
+                    )
                 },
                 move |t| {
                     let _trace = minshare_trace::install(metrics_tracer(&r_sink));
                     let mut rng = StdRng::seed_from_u64(8);
-                    pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, chunked())
+                    shard::run_intersection_receiver(
+                        t,
+                        g,
+                        &r_vals,
+                        &mut rng,
+                        p,
+                        chunked(),
+                        &ShardConfig::default(),
+                    )
                 },
             )
         },
@@ -322,13 +338,31 @@ fn main() -> ExitCode {
                 let _trace = minshare_trace::install(metrics_tracer(&s_sink));
                 let cipher = HybridCipher::new(g.clone(), 16);
                 let mut rng = StdRng::seed_from_u64(9);
-                pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, p, chunked())
+                shard::run_equijoin_sender(
+                    t,
+                    g,
+                    &cipher,
+                    &entries,
+                    &mut rng,
+                    p,
+                    chunked(),
+                    &ShardConfig::default(),
+                )
             },
             move |t| {
                 let _trace = minshare_trace::install(metrics_tracer(&r_sink));
                 let cipher = HybridCipher::new(g.clone(), 16);
                 let mut rng = StdRng::seed_from_u64(10);
-                pipeline::run_equijoin_receiver(t, g, &cipher, &r_vals, &mut rng, p, chunked())
+                shard::run_equijoin_receiver(
+                    t,
+                    g,
+                    &cipher,
+                    &r_vals,
+                    &mut rng,
+                    p,
+                    chunked(),
+                    &ShardConfig::default(),
+                )
             },
         )
     });
@@ -391,11 +425,27 @@ fn main() -> ExitCode {
             &FaultPlan::perfect(),
             |t| {
                 let mut rng = StdRng::seed_from_u64(7);
-                pipeline::run_intersection_sender(t, g, &vs(), &mut rng, p, chunked())
+                shard::run_intersection_sender(
+                    t,
+                    g,
+                    &vs(),
+                    &mut rng,
+                    p,
+                    chunked(),
+                    &ShardConfig::default(),
+                )
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(8);
-                pipeline::run_intersection_receiver(t, g, &vr(), &mut rng, p, chunked())
+                shard::run_intersection_receiver(
+                    t,
+                    g,
+                    &vr(),
+                    &mut rng,
+                    p,
+                    chunked(),
+                    &ShardConfig::default(),
+                )
             },
         );
         match run.receiver {

@@ -96,8 +96,8 @@ pub fn run_serve(raw: &[String]) -> Result<(), AnyError> {
         entries.len()
     );
 
-    // Spill knobs used when a client elects sharding; the client's hello
-    // chooses the bucket count.
+    // Spill knobs for every session: the client's hello chooses the
+    // bucket count, and a session without one runs a single bucket.
     let shard_cfg = ShardConfig {
         mem_budget: mem_budget.unwrap_or_else(|| ShardConfig::default().mem_budget),
         spill_dir: spill_dir.map(std::path::PathBuf::from),

@@ -238,10 +238,10 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| format!("cannot open {}: {e}", args.values_path))?;
     let reader = BufReader::new(file);
 
-    // Sharded-engine knobs. The receiver elects sharding with
-    // `--shards B > 1`; the sender always peeks the first frame and
-    // adopts the peer's choice, falling back byte-identically to the
-    // classic engines when no hello arrives.
+    // Pooled-engine knobs. The receiver elects sharding with
+    // `--shards B > 1`; the sender peeks the first frame and adopts the
+    // peer's choice, running one bucket when no hello arrives. Every `B`
+    // sorts under `--mem-budget`.
     let shard_cfg = ShardConfig {
         shards: args.shards,
         mem_budget: args.mem_budget,
@@ -259,25 +259,15 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         (Command::Intersect, Side::Sender) => {
             let values = input::read_values(reader)?;
             eprintln!("running intersection as S with {} values…", values.len());
-            let out = match shard::recv_hello_or_pushback(&mut transport)? {
-                Ok(shards) => {
-                    eprintln!("peer elected {shards} shards");
-                    shard::run_intersection_sender_sharded(
-                        &mut transport,
-                        &group,
-                        &values,
-                        &mut rng,
-                        &pool,
-                        pipe,
-                        &shard_cfg,
-                        shards,
-                    )?
-                }
-                Err(frame) => {
-                    let mut t = shard::PushbackTransport::new(frame, &mut transport);
-                    intersection::run_sender(&mut t, &group, &values, &mut rng)?
-                }
-            };
+            let out = shard::run_intersection_sender(
+                &mut transport,
+                &group,
+                &values,
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
             eprintln!("done: peer set size |V_R| = {}", out.peer_set_size);
             eprintln!("cost: {} Ce, {} Ch", out.ops.total_ce(), out.ops.hashes);
             summary = Some(RunSummary {
@@ -292,19 +282,15 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
         (Command::Intersect, Side::Receiver) => {
             let values = input::read_values(reader)?;
             eprintln!("running intersection as R with {} values…", values.len());
-            let out = if args.shards > 1 {
-                shard::run_intersection_receiver(
-                    &mut transport,
-                    &group,
-                    &values,
-                    &mut rng,
-                    &pool,
-                    pipe,
-                    &shard_cfg,
-                )?
-            } else {
-                intersection::run_receiver(&mut transport, &group, &values, &mut rng)?
-            };
+            let out = shard::run_intersection_receiver(
+                &mut transport,
+                &group,
+                &values,
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
             for v in &out.intersection {
                 println!("{}", String::from_utf8_lossy(v));
             }
@@ -373,26 +359,16 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
             // record length first as a tiny header frame.
             transport.send(&(cipher.max_plaintext_len() as u32).to_be_bytes())?;
             eprintln!("running equijoin as S with {} entries…", entries.len());
-            let out = match shard::recv_hello_or_pushback(&mut transport)? {
-                Ok(shards) => {
-                    eprintln!("peer elected {shards} shards");
-                    shard::run_equijoin_sender_sharded(
-                        &mut transport,
-                        &group,
-                        &cipher,
-                        &entries,
-                        &mut rng,
-                        &pool,
-                        pipe,
-                        &shard_cfg,
-                        shards,
-                    )?
-                }
-                Err(frame) => {
-                    let mut t = shard::PushbackTransport::new(frame, &mut transport);
-                    equijoin::run_sender(&mut t, &group, &cipher, &entries, &mut rng)?
-                }
-            };
+            let out = shard::run_equijoin_sender(
+                &mut transport,
+                &group,
+                &cipher,
+                &entries,
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
             eprintln!("done: |V_R| = {}", out.peer_set_size);
             let keys: Vec<Vec<u8>> = entries.iter().map(|(v, _)| v.clone()).collect();
             summary = Some(RunSummary {
@@ -414,20 +390,16 @@ fn run(args: Args) -> Result<(), Box<dyn std::error::Error>> {
                 u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
             let cipher = HybridCipher::new(group.clone(), record_len);
             eprintln!("running equijoin as R with {} values…", values.len());
-            let out = if args.shards > 1 {
-                shard::run_equijoin_receiver(
-                    &mut transport,
-                    &group,
-                    &cipher,
-                    &values,
-                    &mut rng,
-                    &pool,
-                    pipe,
-                    &shard_cfg,
-                )?
-            } else {
-                equijoin::run_receiver(&mut transport, &group, &cipher, &values, &mut rng)?
-            };
+            let out = shard::run_equijoin_receiver(
+                &mut transport,
+                &group,
+                &cipher,
+                &values,
+                &mut rng,
+                &pool,
+                pipe,
+                &shard_cfg,
+            )?;
             for (v, payload) in &out.matches {
                 println!(
                     "{}\t{}",

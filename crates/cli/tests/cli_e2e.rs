@@ -3,15 +3,20 @@
 
 use std::io::Write;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 fn binary() -> &'static str {
     env!("CARGO_BIN_EXE_minshare")
 }
 
+/// Writes `content` to a fresh file. Every call gets its own path (a
+/// process-wide counter prefixes `name`), so tests running in parallel
+/// never overwrite each other's inputs.
 fn write_temp(name: &str, content: &str) -> std::path::PathBuf {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
     let dir = std::env::temp_dir().join(format!("minshare-cli-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join(name);
+    let path = dir.join(format!("{}-{name}", NEXT.fetch_add(1, Ordering::Relaxed)));
     let mut f = std::fs::File::create(&path).expect("temp file");
     f.write_all(content.as_bytes()).expect("write");
     path

@@ -55,8 +55,9 @@ pub struct EquijoinReceiverOutput {
 
 /// Runs the sender (`S`) side. `entries` maps each value of `V_S` to its
 /// payload `ext(v)` (already serialized — e.g. by
-/// `minshare_privdb::rowcodec::encode_rows`). Duplicate values are
-/// rejected implicitly by set preparation keeping the first payload.
+/// `minshare_privdb::rowcodec::encode_rows`). A value listed more than
+/// once is one set member that keeps its *last* payload: later entries
+/// overwrite earlier ones in the payload map.
 pub fn run_sender<T: Transport + ?Sized, C: ExtCipher + ?Sized, R: Rng + ?Sized>(
     transport: &mut T,
     group: &QrGroup,

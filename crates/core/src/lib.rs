@@ -19,6 +19,18 @@
 //! ([`stats::OpCounters`]) and all traffic is byte-accounted, so the cost
 //! analysis is verified *exactly*, not approximately.
 //!
+//! ## Engines
+//!
+//! The modules above are the serial, paper-level reference engines,
+//! generic over any [`minshare_crypto::CommutativeScheme`]. The CLI and
+//! the daemon ([`service`]) run the pooled engines in [`shard`]: one
+//! receiver and one sender per protocol, which stream every list in
+//! chunks ([`pipeline::PipelineConfig`]) with the exponentiations on a
+//! shared [`minshare_crypto::EncryptPool`], and run the rounds once per
+//! bucket of a client-elected bucket count `B`
+//! ([`shard::ShardConfig`]). `B = 1` — the pipelined engine — sends no
+//! hello and puts the serial message sequence on the wire.
+//!
 //! ## Quick start
 //!
 //! ```
@@ -95,11 +107,9 @@ pub mod prelude {
     pub use crate::pipeline::{self, PipelineConfig};
     pub use crate::runner::{run_two_party, TwoPartyRun};
     pub use crate::service::{
-        run_client_equijoin, run_client_equijoin_sharded, run_client_equijoin_size,
-        run_client_equijoin_size_sharded, run_client_intersection,
-        run_client_intersection_sharded, run_client_intersection_size,
-        run_client_intersection_size_sharded, ProtocolKind, Service, SessionReport,
-        SessionRequest,
+        run_client_equijoin_sharded, run_client_equijoin_size_sharded,
+        run_client_intersection_sharded, run_client_intersection_size_sharded, ProtocolKind,
+        Service, SessionReport, SessionRequest,
     };
     pub use crate::shard::{self, ShardConfig};
     pub use crate::simrun::{run_two_party_sim, SimOutcome, SimRunConfig, SimTwoPartyRun};

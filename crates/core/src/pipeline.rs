@@ -1,44 +1,27 @@
-//! Chunk-pipelined protocol engines.
+//! Chunk sizing for the pooled engines.
 //!
 //! §6.2 of the paper: *"We assume that we have P processors that we can
 //! utilize in parallel."* The serial engines in [`crate::intersection`]
-//! and [`crate::equijoin`] encrypt a whole round before sending a single
-//! byte; the engines here overlap the two. Each list crosses the wire
-//! under the chunked envelope of [`crate::wire`], and every chunk's
-//! exponentiations run as a job on a persistent
-//! [`minshare_crypto::EncryptPool`]:
-//!
-//! * `S` streams `Y_S` chunk by chunk while the pool is still encrypting
-//!   later chunks, and answers `Y_R` chunk-for-chunk as re-encryption
-//!   jobs drain;
-//! * `R` submits `f_eR(Y_S)` work as each `Y_S` chunk lands, overlapping
-//!   its own re-encryption with the remaining receives.
+//! and friends encrypt a whole round before sending a single byte; the
+//! pooled engines in [`crate::shard`] overlap the two. Each list crosses
+//! the wire under the chunked envelope of [`crate::wire`], and every
+//! chunk's exponentiations run as a job on a persistent
+//! [`minshare_crypto::EncryptPool`]: a party submits work for each chunk
+//! of the peer's list as it lands, and answers chunk for chunk as the
+//! jobs drain. [`PipelineConfig`] sets the chunk size.
 //!
 //! The message *order* and op counts are identical to the serial engines,
-//! and a stream that fits in one chunk is byte-identical to the serial
-//! protocol — so the §6.1 cost-model assertions carry over unchanged, and
-//! the round-trip tests below check byte-identical *outputs* against the
-//! serial path.
-
-use std::collections::{BTreeMap, BTreeSet};
+//! and a list that fits in one chunk is byte-identical to the serial
+//! protocol's frame — so the §6.1 cost-model assertions carry over
+//! unchanged. "Pipelined" is the pooled engine at one bucket (`B = 1`).
 
 use minshare_bignum::UBig;
-use minshare_crypto::kcipher::ExtCipher;
-use minshare_crypto::{EncryptPool, PendingBatch, QrGroup};
-use minshare_net::Transport;
-use rand::{Rng, SeedableRng};
+use minshare_crypto::{EncryptPool, QrGroup};
+use rand::SeedableRng;
 
-use crate::equijoin::{EquijoinReceiverOutput, EquijoinSenderOutput};
-use crate::error::ProtocolError;
-use crate::intersection::{IntersectionReceiverOutput, IntersectionSenderOutput};
-use crate::prepare::prepare_set;
-use crate::stats::OpCounters;
-use crate::wire::{
-    send_codewords_chunked, send_payload_pairs_chunked, ChunkedReader, ChunkedWriter, Message,
-    DEFAULT_CHUNK_SIZE, TAG_CODEWORDS, TAG_CODEWORD_PAIRS, TAG_PAYLOAD_PAIRS,
-};
+use crate::wire::DEFAULT_CHUNK_SIZE;
 
-/// Tuning knobs for the pipelined engines.
+/// Chunking knobs for the pooled engines.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PipelineConfig {
     /// Codewords per wire chunk. Lists that fit in one chunk go out as a
@@ -131,387 +114,13 @@ impl PipelineConfig {
     }
 }
 
-/// Extends an incremental strict-sortedness check across a chunk
-/// boundary: each element must exceed the last element of the previous
-/// chunk, then ascend within the chunk.
-pub(crate) fn require_chunk_strictly_sorted(
-    last: &mut Option<UBig>,
-    chunk: &[UBig],
-    what: &'static str,
-) -> Result<(), ProtocolError> {
-    for x in chunk {
-        if let Some(prev) = last.as_ref() {
-            if prev >= x {
-                return Err(ProtocolError::NotSorted { what });
-            }
-        }
-        *last = Some(x.clone());
-    }
-    Ok(())
-}
-
-/// Unwraps a `Codewords` chunk (the reader already validated the tag;
-/// this keeps the engines panic-free all the same).
-pub(crate) fn into_codewords(msg: Message) -> Result<Vec<UBig>, ProtocolError> {
-    match msg {
-        Message::Codewords(list) => Ok(list),
-        other => Err(ProtocolError::UnexpectedMessage {
-            expected: "codewords",
-            got: other.kind(),
-        }),
-    }
-}
-
-/// Ciphertext half of the sorted `(codeword, value)` pairing a receiver
-/// keeps for local matching, in pairing order. The raw values stay in
-/// the pairing and never travel; only the pool-encrypted codewords come
-/// out of here. Registered as encrypt-class in the analyzer's taint
-/// registry, which is what lets WIRE01 prove the subsequent send clean.
-fn sorted_codewords(encrypted: &[(UBig, Vec<u8>)]) -> Vec<UBig> {
-    encrypted.iter().map(|(y, _)| y.clone()).collect()
-}
-
-/// Pipelined intersection sender (`S` side of §3.2). Protocol-equivalent
-/// to [`crate::intersection::run_sender`]; encryption runs on `pool` and
-/// every list is streamed chunk by chunk.
-pub fn run_intersection_sender<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-) -> Result<IntersectionSenderOutput, ProtocolError> {
-    let mut ops = OpCounters::default();
-
-    // Steps 1-2: hash V_S and start encrypting it in the background.
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let hashes: Vec<UBig> = prepared.entries.iter().map(|(_, h)| h.clone()).collect();
-    ops.encryptions += hashes.len() as u64;
-    let ys_job = pool.submit_encrypt(group, &key, &hashes);
-
-    // Step 3: stream Y_R in, kicking off re-encryption per chunk. The
-    // pool crunches Y_S and early Y_R chunks while later chunks are
-    // still in flight.
-    let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-    let mut last: Option<UBig> = None;
-    let mut pending: Vec<PendingBatch> = Vec::new();
-    let mut peer_set_size = 0usize;
-    while let Some(msg) = reader.next(transport, group)? {
-        let chunk = into_codewords(msg)?;
-        require_chunk_strictly_sorted(&mut last, &chunk, "Y_R")?;
-        peer_set_size += chunk.len();
-        ops.encryptions += chunk.len() as u64;
-        pending.push(pool.submit_encrypt(group, &key, &chunk));
-    }
-
-    // Step 4(a): ship Y_S sorted, chunked (single serial-identical frame
-    // below the fallback threshold).
-    let mut ys = ys_job.wait();
-    ys.sort();
-    send_codewords_chunked(transport, group, &ys, config.effective_chunk(ys.len()))?;
-
-    // Step 4(b): answer Y_R chunk-for-chunk as re-encryption jobs drain;
-    // chunk k goes on the wire while k+1.. are still encrypting.
-    let mut writer =
-        ChunkedWriter::begin_with_chunks(transport, TAG_CODEWORDS, peer_set_size, pending.len())?;
-    for job in pending {
-        writer.send(transport, group, &Message::Codewords(job.wait()))?;
-    }
-    writer.finish()?;
-
-    crate::stats::emit_ops(
-        "intersection",
-        "sender_done",
-        &ops,
-        hashes.len(),
-        peer_set_size,
-    );
-    Ok(IntersectionSenderOutput { peer_set_size, ops })
-}
-
-/// Pipelined intersection receiver (`R` side of §3.2).
-/// Protocol-equivalent to [`crate::intersection::run_receiver`].
-pub fn run_intersection_receiver<T: Transport + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-) -> Result<IntersectionReceiverOutput, ProtocolError> {
-    let mut ops = OpCounters::default();
-
-    // Steps 1-3: hash, pool-encrypt, sort, stream Y_R out.
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let key = group.gen_key(rng);
-    let (own_values, hashes): (Vec<Vec<u8>>, Vec<UBig>) = prepared.entries.into_iter().unzip();
-    ops.encryptions += hashes.len() as u64;
-    let enc = pool.submit_encrypt(group, &key, &hashes).wait();
-    let mut encrypted: Vec<(UBig, Vec<u8>)> = enc.into_iter().zip(own_values).collect();
-    encrypted.sort_by(|a, b| a.0.cmp(&b.0));
-    let yr: Vec<UBig> = sorted_codewords(&encrypted);
-    send_codewords_chunked(transport, group, &yr, config.effective_chunk(yr.len()))?;
-
-    // Step 4(a): stream Y_S in, overlapping Z_S = f_eR(Y_S) with receive.
-    let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-    let mut last: Option<UBig> = None;
-    let mut zs_jobs: Vec<PendingBatch> = Vec::new();
-    let mut peer_set_size = 0usize;
-    while let Some(msg) = reader.next(transport, group)? {
-        let chunk = into_codewords(msg)?;
-        require_chunk_strictly_sorted(&mut last, &chunk, "Y_S")?;
-        peer_set_size += chunk.len();
-        ops.encryptions += chunk.len() as u64;
-        zs_jobs.push(pool.submit_encrypt(group, &key, &chunk));
-    }
-
-    // Step 4(b): receive f_eS(Y_R), order-preserving across chunks.
-    let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-    let mut reencrypted: Vec<UBig> = Vec::with_capacity(reader.total_items().min(1 << 22));
-    while let Some(msg) = reader.next(transport, group)? {
-        reencrypted.extend(into_codewords(msg)?);
-    }
-    if reencrypted.len() != encrypted.len() {
-        return Err(ProtocolError::LengthMismatch {
-            expected: encrypted.len(),
-            got: reencrypted.len(),
-        });
-    }
-
-    // Step 5: collect Z_S.
-    let zs: BTreeSet<UBig> = zs_jobs.into_iter().flat_map(PendingBatch::wait).collect();
-
-    // Step 6: v ∈ V_S ∩ V_R iff f_eS(f_eR(h(v))) ∈ Z_S.
-    let mut intersection: Vec<Vec<u8>> = encrypted
-        .into_iter()
-        .zip(reencrypted)
-        .filter(|(_, fes_y)| zs.contains(fes_y))
-        .map(|((_, v), _)| v)
-        .collect();
-    intersection.sort();
-
-    crate::stats::emit_ops(
-        "intersection",
-        "receiver_done",
-        &ops,
-        yr.len(),
-        peer_set_size,
-    );
-    Ok(IntersectionReceiverOutput {
-        intersection,
-        peer_set_size,
-        ops,
-    })
-}
-
-/// Pipelined equijoin sender (`S` side of §4.3). Protocol-equivalent to
-/// [`crate::equijoin::run_sender`].
-pub fn run_equijoin_sender<T: Transport + ?Sized, C: ExtCipher + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    cipher: &C,
-    entries: &[(Vec<u8>, Vec<u8>)],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-) -> Result<EquijoinSenderOutput, ProtocolError> {
-    let mut ops = OpCounters::default();
-
-    // Step 1: hash V_S; pick both keys; start the payload-table
-    // exponentiations (independent of Y_R) on the pool right away.
-    let values: Vec<Vec<u8>> = entries.iter().map(|(v, _)| v.clone()).collect();
-    let payloads: BTreeMap<&Vec<u8>, &Vec<u8>> = entries.iter().map(|(v, p)| (v, p)).collect();
-    let prepared = prepare_set(group, &values, &mut ops)?;
-    let e_s = group.gen_key(rng);
-    let e_s_prime = group.gen_key(rng);
-    let hashes: Vec<UBig> = prepared.entries.iter().map(|(_, h)| h.clone()).collect();
-    ops.encryptions += 2 * hashes.len() as u64;
-    let tags_job = pool.submit_encrypt(group, &e_s, &hashes);
-    let kappas_job = pool.submit_encrypt(group, &e_s_prime, &hashes);
-
-    // Step 3: stream Y_R in, launching both re-encryptions per chunk.
-    let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORDS, "codewords")?;
-    let mut last: Option<UBig> = None;
-    let mut pair_jobs: Vec<(PendingBatch, PendingBatch)> = Vec::new();
-    let mut peer_set_size = 0usize;
-    while let Some(msg) = reader.next(transport, group)? {
-        let chunk = into_codewords(msg)?;
-        require_chunk_strictly_sorted(&mut last, &chunk, "Y_R")?;
-        peer_set_size += chunk.len();
-        ops.encryptions += 2 * chunk.len() as u64;
-        pair_jobs.push((
-            pool.submit_encrypt(group, &e_s, &chunk),
-            pool.submit_encrypt(group, &e_s_prime, &chunk),
-        ));
-    }
-
-    // Step 4: answer each y with (f_eS(y), f_e'S(y)), chunk-for-chunk.
-    let mut writer = ChunkedWriter::begin_with_chunks(
-        transport,
-        TAG_CODEWORD_PAIRS,
-        peer_set_size,
-        pair_jobs.len(),
-    )?;
-    for (a_job, b_job) in pair_jobs {
-        let pairs: Vec<(UBig, UBig)> = a_job.wait().into_iter().zip(b_job.wait()).collect();
-        writer.send(transport, group, &Message::CodewordPairs(pairs))?;
-    }
-    writer.finish()?;
-
-    // Step 5: the payload table — tags and κ's were cooking since step 1.
-    let tags = tags_job.wait();
-    let kappas = kappas_job.wait();
-    let mut payload_pairs: Vec<(UBig, Vec<u8>)> = prepared
-        .entries
-        .iter()
-        .zip(tags.into_iter().zip(kappas))
-        .map(|((v, _), (tag, kappa))| {
-            ops.payload_encryptions += 1;
-            let ext = payloads.get(v).copied().cloned().unwrap_or_default();
-            let ct = cipher.encrypt(&kappa, &ext)?;
-            Ok((tag, ct))
-        })
-        .collect::<Result<_, ProtocolError>>()?;
-    payload_pairs.sort_by(|a, b| a.0.cmp(&b.0));
-    send_payload_pairs_chunked(
-        transport,
-        group,
-        &payload_pairs,
-        config.effective_chunk(payload_pairs.len()),
-    )?;
-
-    crate::stats::emit_ops(
-        "equijoin",
-        "sender_done",
-        &ops,
-        hashes.len(),
-        peer_set_size,
-    );
-    Ok(EquijoinSenderOutput { peer_set_size, ops })
-}
-
-/// Pipelined equijoin receiver (`R` side of §4.3). Protocol-equivalent to
-/// [`crate::equijoin::run_receiver`].
-pub fn run_equijoin_receiver<T: Transport + ?Sized, C: ExtCipher + ?Sized, R: Rng + ?Sized>(
-    transport: &mut T,
-    group: &QrGroup,
-    cipher: &C,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-) -> Result<EquijoinReceiverOutput, ProtocolError> {
-    let mut ops = OpCounters::default();
-
-    // Steps 1-3: hash, pool-encrypt, sort, stream Y_R out.
-    let prepared = prepare_set(group, values, &mut ops)?;
-    let e_r = group.gen_key(rng);
-    let (own_values, hashes): (Vec<Vec<u8>>, Vec<UBig>) = prepared.entries.into_iter().unzip();
-    ops.encryptions += hashes.len() as u64;
-    let enc = pool.submit_encrypt(group, &e_r, &hashes).wait();
-    let mut encrypted: Vec<(UBig, Vec<u8>)> = enc.into_iter().zip(own_values).collect();
-    encrypted.sort_by(|a, b| a.0.cmp(&b.0));
-    let yr: Vec<UBig> = sorted_codewords(&encrypted);
-    send_codewords_chunked(transport, group, &yr, config.effective_chunk(yr.len()))?;
-
-    // Step 4 response: (f_eS(y), f_e'S(y)) aligned with Y_R; strip our
-    // layer per chunk on the pool, overlapping with receive.
-    let mut reader = ChunkedReader::begin(transport, group, TAG_CODEWORD_PAIRS, "codeword-pairs")?;
-    let mut strip_jobs: Vec<(PendingBatch, PendingBatch)> = Vec::new();
-    let mut pair_count = 0usize;
-    while let Some(msg) = reader.next(transport, group)? {
-        let pairs = match msg {
-            Message::CodewordPairs(p) => p,
-            other => {
-                return Err(ProtocolError::UnexpectedMessage {
-                    expected: "codeword-pairs",
-                    got: other.kind(),
-                })
-            }
-        };
-        pair_count += pairs.len();
-        ops.decryptions += 2 * pairs.len() as u64;
-        let (fes, fesp): (Vec<UBig>, Vec<UBig>) = pairs.into_iter().unzip();
-        strip_jobs.push((
-            pool.submit_decrypt(group, &e_r, &fes),
-            pool.submit_decrypt(group, &e_r, &fesp),
-        ));
-    }
-    if pair_count != encrypted.len() {
-        return Err(ProtocolError::LengthMismatch {
-            expected: encrypted.len(),
-            got: pair_count,
-        });
-    }
-
-    // Step 5 response: the payload table, strictly sorted across chunks.
-    let mut reader = ChunkedReader::begin(transport, group, TAG_PAYLOAD_PAIRS, "payload-pairs")?;
-    let mut last: Option<UBig> = None;
-    let mut table: BTreeMap<UBig, Vec<u8>> = BTreeMap::new();
-    let mut peer_set_size = 0usize;
-    while let Some(msg) = reader.next(transport, group)? {
-        let pairs = match msg {
-            Message::PayloadPairs(p) => p,
-            other => {
-                return Err(ProtocolError::UnexpectedMessage {
-                    expected: "payload-pairs",
-                    got: other.kind(),
-                })
-            }
-        };
-        peer_set_size += pairs.len();
-        for (tag, ct) in pairs {
-            if let Some(prev) = last.as_ref() {
-                if prev >= &tag {
-                    return Err(ProtocolError::NotSorted {
-                        what: "payload table",
-                    });
-                }
-            }
-            last = Some(tag.clone());
-            table.insert(tag, ct);
-        }
-    }
-
-    // Steps 6-7: collect the stripped layers; match; decrypt.
-    let mut stripped: Vec<(UBig, UBig)> = Vec::with_capacity(pair_count);
-    for (a_job, b_job) in strip_jobs {
-        stripped.extend(a_job.wait().into_iter().zip(b_job.wait()));
-    }
-    let mut matches = Vec::new();
-    let mut seen_tags = BTreeSet::new();
-    for ((_, v), (tag, kappa)) in encrypted.into_iter().zip(stripped) {
-        if !seen_tags.insert(tag.clone()) {
-            return Err(ProtocolError::HashCollision);
-        }
-        if let Some(ct) = table.get(&tag) {
-            ops.payload_decryptions += 1;
-            let ext = cipher.decrypt(&kappa, ct)?;
-            matches.push((v, ext));
-        }
-    }
-    matches.sort();
-
-    crate::stats::emit_ops(
-        "equijoin",
-        "receiver_done",
-        &ops,
-        yr.len(),
-        peer_set_size,
-    );
-    Ok(EquijoinReceiverOutput {
-        matches,
-        peer_set_size,
-        ops,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::ProtocolError;
     use crate::runner::run_two_party;
+    use crate::shard::{self, ShardConfig};
+    use crate::wire::send_codewords_chunked;
     use crate::{equijoin, intersection};
     use minshare_crypto::kcipher::HybridCipher;
     use rand::rngs::StdRng;
@@ -565,11 +174,27 @@ mod tests {
             let run = run_two_party(
                 |t| {
                     let mut rng = StdRng::seed_from_u64(500);
-                    run_intersection_sender(t, &g, &vs, &mut rng, &pool, cfg(chunk))
+                    shard::run_intersection_sender(
+                        t,
+                        &g,
+                        &vs,
+                        &mut rng,
+                        &pool,
+                        cfg(chunk),
+                        &ShardConfig::default(),
+                    )
                 },
                 |t| {
                     let mut rng = StdRng::seed_from_u64(600);
-                    run_intersection_receiver(t, &g, &vr, &mut rng, &pool, cfg(chunk))
+                    shard::run_intersection_receiver(
+                        t,
+                        &g,
+                        &vr,
+                        &mut rng,
+                        &pool,
+                        cfg(chunk),
+                        &ShardConfig::default(),
+                    )
                 },
             )
             .unwrap();
@@ -600,12 +225,30 @@ mod tests {
             let run = run_two_party(
                 |t| {
                     let mut rng = StdRng::seed_from_u64(500);
-                    run_equijoin_sender(t, &g, &cipher, &vs, &mut rng, &pool, cfg(chunk))
+                    shard::run_equijoin_sender(
+                        t,
+                        &g,
+                        &cipher,
+                        &vs,
+                        &mut rng,
+                        &pool,
+                        cfg(chunk),
+                        &ShardConfig::default(),
+                    )
                 },
                 |t| {
                     let cipher = HybridCipher::new(g.clone(), 64);
                     let mut rng = StdRng::seed_from_u64(600);
-                    run_equijoin_receiver(t, &g, &cipher, &vr, &mut rng, &pool, cfg(chunk))
+                    shard::run_equijoin_receiver(
+                        t,
+                        &g,
+                        &cipher,
+                        &vr,
+                        &mut rng,
+                        &pool,
+                        cfg(chunk),
+                        &ShardConfig::default(),
+                    )
                 },
             )
             .unwrap();
@@ -625,7 +268,15 @@ mod tests {
         let a = run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(500);
-                run_intersection_sender(t, &g, &vs, &mut rng, &pool, big)
+                shard::run_intersection_sender(
+                    t,
+                    &g,
+                    &vs,
+                    &mut rng,
+                    &pool,
+                    big,
+                    &ShardConfig::default(),
+                )
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(600);
@@ -640,7 +291,15 @@ mod tests {
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(600);
-                run_intersection_receiver(t, &g, &vr, &mut rng, &pool, big)
+                shard::run_intersection_receiver(
+                    t,
+                    &g,
+                    &vr,
+                    &mut rng,
+                    &pool,
+                    big,
+                    &ShardConfig::default(),
+                )
             },
         )
         .unwrap();
@@ -675,11 +334,27 @@ mod tests {
         let run = run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(500);
-                run_intersection_sender(t, &g, &vs, &mut rng, &pool, cfg(chunk))
+                shard::run_intersection_sender(
+                    t,
+                    &g,
+                    &vs,
+                    &mut rng,
+                    &pool,
+                    cfg(chunk),
+                    &ShardConfig::default(),
+                )
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(600);
-                run_intersection_receiver(t, &g, &vr, &mut rng, &pool, cfg(chunk))
+                shard::run_intersection_receiver(
+                    t,
+                    &g,
+                    &vr,
+                    &mut rng,
+                    &pool,
+                    cfg(chunk),
+                    &ShardConfig::default(),
+                )
             },
         )
         .unwrap();
@@ -703,11 +378,27 @@ mod tests {
         let run = run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(1);
-                run_intersection_sender(t, &g, &[], &mut rng, &pool, cfg(4))
+                shard::run_intersection_sender(
+                    t,
+                    &g,
+                    &[],
+                    &mut rng,
+                    &pool,
+                    cfg(4),
+                    &ShardConfig::default(),
+                )
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(2);
-                run_intersection_receiver(t, &g, &values(3, 0), &mut rng, &pool, cfg(4))
+                shard::run_intersection_receiver(
+                    t,
+                    &g,
+                    &values(3, 0),
+                    &mut rng,
+                    &pool,
+                    cfg(4),
+                    &ShardConfig::default(),
+                )
             },
         )
         .unwrap();
@@ -723,12 +414,19 @@ mod tests {
         let err = run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(1);
-                run_intersection_sender(t, &g, &values(2, 0), &mut rng, &pool, cfg(2))
+                shard::run_intersection_sender(
+                    t,
+                    &g,
+                    &values(2, 0),
+                    &mut rng,
+                    &pool,
+                    cfg(2),
+                    &ShardConfig::default(),
+                )
             },
             |t| -> Result<(), ProtocolError> {
                 let mut rng = StdRng::seed_from_u64(2);
-                let mut els: Vec<UBig> =
-                    (0..4).map(|_| g.sample_element(&mut rng)).collect();
+                let mut els: Vec<UBig> = (0..4).map(|_| g.sample_element(&mut rng)).collect();
                 els.sort();
                 els.reverse(); // descending: first boundary check must trip
                 send_codewords_chunked(t, &g, &els, 2)?;

@@ -32,7 +32,7 @@ use crate::equijoin_size::EquijoinSizeReceiverOutput;
 use crate::error::ProtocolError;
 use crate::intersection::IntersectionReceiverOutput;
 use crate::intersection_size::IntersectionSizeReceiverOutput;
-use crate::pipeline::{self, PipelineConfig};
+use crate::pipeline::PipelineConfig;
 use crate::shard::{self, ShardConfig};
 use crate::stats::OpCounters;
 
@@ -192,8 +192,8 @@ pub struct Service {
     /// Base seed; per-session key material derives from this and the
     /// session id.
     seed: u64,
-    /// Spill/memory knobs for sessions whose client elects sharding;
-    /// `shards` here is ignored (the client's hello chooses `B`).
+    /// Spill/memory knobs for every session; `shards` here is ignored
+    /// (the client's hello, or its absence, chooses `B`).
     shard_cfg: ShardConfig,
     /// `|distinct(V_S)|` — the size every non-multiset session disclosed
     /// to its peer (leakage model: `leakage::bucket_size_disclosure`
@@ -251,8 +251,8 @@ impl Service {
         }
     }
 
-    /// Sets the spill/memory knobs used when a client's session opens
-    /// with a shard hello (the client still chooses the bucket count).
+    /// Sets the spill/memory knobs every session runs under (the client
+    /// still chooses the bucket count).
     pub fn with_shard_config(mut self, cfg: ShardConfig) -> Self {
         self.shard_cfg = cfg;
         self
@@ -283,8 +283,8 @@ impl Service {
     ///
     /// Sharding is client-elected: the sender engines peek the session's
     /// first protocol frame and adopt the client's bucket count when it
-    /// is a shard hello, falling back byte-identically to the pipelined
-    /// engines otherwise — one service serves both kinds of client.
+    /// is a shard hello, running one bucket otherwise — one service
+    /// serves both kinds of client.
     pub fn handle<T: Transport>(
         &self,
         session: u32,
@@ -411,45 +411,10 @@ impl Service {
 
 /// Client side of a daemon intersection session. `transport` is the
 /// already-open session (the OPEN payload must have been
-/// `SessionRequest::new(ProtocolKind::Intersection).encode()`); returns
-/// the receiver output plus the session's byte counts for
-/// reconciliation against the daemon's [`SessionReport`].
-pub fn run_client_intersection<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-) -> Result<(IntersectionReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out = pipeline::run_intersection_receiver(&mut counted, group, values, rng, pool, config)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Client side of a daemon equijoin session; see
-/// [`run_client_intersection`]. `record_len` must match the daemon's.
-pub fn run_client_equijoin<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-    pool: &EncryptPool,
-    config: PipelineConfig,
-    record_len: usize,
-) -> Result<(EquijoinReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let cipher = HybridCipher::new(group.clone(), record_len);
-    let out =
-        pipeline::run_equijoin_receiver(&mut counted, group, &cipher, values, rng, pool, config)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Sharded client side of a daemon intersection session: announces
-/// `cfg.shards` buckets and runs the bounded-memory receiver engine
-/// (`cfg.shards <= 1` degenerates byte-identically to
-/// [`run_client_intersection`]). The daemon adopts the bucket count
-/// automatically.
+/// `SessionRequest::new(ProtocolKind::Intersection).encode()`); the
+/// client runs the pooled receiver with `cfg.shards` buckets, which the
+/// daemon adopts. Returns the receiver output plus the session's byte
+/// counts for reconciliation against the daemon's [`SessionReport`].
 pub fn run_client_intersection_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
     group: &QrGroup,
@@ -465,8 +430,9 @@ pub fn run_client_intersection_sharded<T: Transport, R: Rng + ?Sized>(
     Ok((out, ClientTraffic::from(&traffic)))
 }
 
-/// Sharded client side of a daemon equijoin session; see
-/// [`run_client_intersection_sharded`].
+/// Client side of a daemon equijoin session; see
+/// [`run_client_intersection_sharded`]. `record_len` must match the
+/// daemon's.
 #[allow(clippy::too_many_arguments)]
 pub fn run_client_equijoin_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
@@ -494,22 +460,8 @@ pub fn run_client_equijoin_sharded<T: Transport, R: Rng + ?Sized>(
 }
 
 /// Client side of a daemon intersection-size session: learns
-/// `|V_S ∩ V_R|` and `|V_S|`, never which values matched.
-pub fn run_client_intersection_size<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-) -> Result<(IntersectionSizeReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out = crate::intersection_size::run_receiver(&mut counted, group, values, rng)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Sharded client side of a daemon intersection-size session: announces
-/// `cfg.shards` buckets and runs the bounded-memory engine
-/// (`cfg.shards <= 1` degenerates to the serial receiver). The daemon
-/// adopts the bucket count automatically.
+/// `|V_S ∩ V_R|` and `|V_S|`, never which values matched; see
+/// [`run_client_intersection_sharded`].
 pub fn run_client_intersection_size_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
     group: &QrGroup,
@@ -526,20 +478,8 @@ pub fn run_client_intersection_size_sharded<T: Transport, R: Rng + ?Sized>(
 }
 
 /// Client side of a daemon equijoin-size session: learns the join size
-/// and the §5.2 duplicate-class matrix.
-pub fn run_client_equijoin_size<T: Transport, R: Rng + ?Sized>(
-    transport: T,
-    group: &QrGroup,
-    values: &[Vec<u8>],
-    rng: &mut R,
-) -> Result<(EquijoinSizeReceiverOutput, ClientTraffic), ProtocolError> {
-    let (mut counted, traffic) = CountingTransport::new(transport);
-    let out = crate::equijoin_size::run_receiver(&mut counted, group, values, rng)?;
-    Ok((out, ClientTraffic::from(&traffic)))
-}
-
-/// Sharded client side of a daemon equijoin-size session; see
-/// [`run_client_intersection_size_sharded`].
+/// and the §5.2 duplicate-class matrix; see
+/// [`run_client_intersection_sharded`].
 pub fn run_client_equijoin_size_sharded<T: Transport, R: Rng + ?Sized>(
     transport: T,
     group: &QrGroup,
@@ -638,13 +578,14 @@ mod tests {
         let client_pool = EncryptPool::new(2);
         let client = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(99);
-            run_client_intersection(
+            run_client_intersection_sharded(
                 client_t,
                 &group(),
                 &to_values(&["grape", "melon", "pear"]),
                 &mut rng,
                 &client_pool,
                 PipelineConfig::default(),
+                &ShardConfig::default(),
             )
             .unwrap()
         });
@@ -679,7 +620,7 @@ mod tests {
         let client_pool = EncryptPool::new(2);
         let client = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(3);
-            run_client_equijoin(
+            run_client_equijoin_sharded(
                 client_t,
                 &group(),
                 &to_values(&["grape", "kiwi"]),
@@ -687,6 +628,7 @@ mod tests {
                 &client_pool,
                 PipelineConfig::default(),
                 64,
+                &ShardConfig::default(),
             )
             .unwrap()
         });
@@ -802,10 +744,19 @@ mod tests {
         assert_eq!(service.session_disclosure(ProtocolKind::EquijoinSize), 3);
         let (server_t, client_t) = duplex_pair();
         let request = SessionRequest::new(ProtocolKind::EquijoinSize).encode();
+        let client_pool = EncryptPool::new(0);
         let client = std::thread::spawn(move || {
             let mut rng = StdRng::seed_from_u64(5);
-            run_client_equijoin_size(client_t, &group(), &to_values(&["grape", "kiwi"]), &mut rng)
-                .unwrap()
+            run_client_equijoin_size_sharded(
+                client_t,
+                &group(),
+                &to_values(&["grape", "kiwi"]),
+                &mut rng,
+                &client_pool,
+                PipelineConfig::default(),
+                &ShardConfig::default(),
+            )
+            .unwrap()
         });
         let report = service.handle(4, &request, server_t).unwrap();
         let (out, traffic) = client.join().unwrap();

@@ -25,8 +25,15 @@ use std::collections::BinaryHeap;
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::ProtocolError;
+
+/// Number of the next run file, shared by every sorter in the process.
+/// Concurrent sorters spilling into one directory — both parties of an
+/// in-process run, or concurrent daemon sessions — would otherwise pick
+/// the same name and fail the `create_new`.
+static NEXT_RUN: AtomicU64 = AtomicU64::new(0);
 
 /// Counters describing what one [`ExtSorter`] actually did — the
 /// bounded-memory smoke test asserts `runs_spilled > 0` to prove the
@@ -61,7 +68,6 @@ pub struct ExtSorter {
     runs: Vec<File>,
     dir: PathBuf,
     stats: SpillStats,
-    next_run: u64,
 }
 
 impl ExtSorter {
@@ -80,7 +86,6 @@ impl ExtSorter {
             runs: Vec::new(),
             dir: dir.to_path_buf(),
             stats: SpillStats::default(),
-            next_run: 0,
         })
     }
 
@@ -119,9 +124,8 @@ impl ExtSorter {
         let path = self.dir.join(format!(
             "minshare-spill-{}-{}.run",
             std::process::id(),
-            self.next_run
+            NEXT_RUN.fetch_add(1, Ordering::Relaxed)
         ));
-        self.next_run += 1;
         let file = OpenOptions::new()
             .create_new(true)
             .read(true)
@@ -303,6 +307,38 @@ mod tests {
         assert_eq!(got.iter().filter(|r| **r == dup).count(), 21);
     }
 
+    /// Two sorters spilling into one directory at once, as both parties
+    /// of an in-process run do, never pick the same run file.
+    #[test]
+    fn concurrent_sorters_in_one_dir_never_collide() {
+        // A directory of its own, so no other test sees these runs.
+        let dir = std::env::temp_dir().join(format!("minshare-sorters-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let records = random_records(100, 12, 4);
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            let runs: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        start.wait();
+                        // One record per run: a spill on every push.
+                        let mut sorter = ExtSorter::new(12, 12, &dir).unwrap();
+                        for r in &records {
+                            sorter.push_record(r).unwrap();
+                        }
+                        sorter.finish().unwrap()
+                    })
+                })
+                .collect();
+            for run in runs {
+                let (stream, stats) = run.join().unwrap();
+                assert_eq!(drain(stream).len(), 100);
+                assert_eq!(stats.runs_spilled, 99);
+            }
+        });
+        std::fs::remove_dir(&dir).unwrap();
+    }
+
     #[test]
     fn empty_sorter_yields_nothing() {
         let dir = std::env::temp_dir();
@@ -329,8 +365,10 @@ mod tests {
     #[test]
     fn spill_files_do_not_linger() {
         // Runs are unlinked at creation; nothing with our prefix should
-        // remain visible in the spill dir even mid-sort.
-        let dir = std::env::temp_dir();
+        // remain visible in the spill dir even mid-sort. The dir is this
+        // test's own, so runs of concurrently spilling tests stay out.
+        let dir = std::env::temp_dir().join(format!("minshare-linger-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
         let mut sorter = ExtSorter::new(8, 16, &dir).unwrap();
         for r in random_records(64, 8, 4) {
             sorter.push_record(&r).unwrap();
@@ -343,5 +381,7 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy().starts_with(&prefix))
             .count();
         assert_eq!(lingering, 0);
+        drop(sorter);
+        std::fs::remove_dir(&dir).unwrap();
     }
 }

@@ -36,8 +36,8 @@ pub(crate) const TAG_PAYLOAD_PAIRS: u8 = 3;
 pub(crate) const TAG_CHUNKED: u8 = 4;
 /// Hello frame opening a *sharded* run (see [`crate::shard`]): the
 /// receiver announces the bucket count before any codeword flows. Never
-/// sent for single-shard runs, which therefore stay byte-identical to
-/// the unsharded engines.
+/// sent for single-shard runs, which therefore put the serial message
+/// sequence on the wire.
 pub(crate) const TAG_SHARDED: u8 = 5;
 
 /// Bytes of the shard hello frame:
@@ -259,7 +259,7 @@ pub fn require_sorted(list: &[UBig], what: &'static str) -> Result<(), ProtocolE
     Ok(())
 }
 
-/// Default number of codewords per chunk for the pipelined engines: small
+/// Default number of codewords per chunk for the pooled engines: small
 /// enough that encryption of one chunk overlaps the wire time of another,
 /// large enough that the 5-byte frame header is noise.
 pub const DEFAULT_CHUNK_SIZE: usize = 32;
@@ -546,12 +546,6 @@ impl ChunkedReader {
         }
     }
 
-    /// Total item count across the whole stream (trusted only after the
-    /// stream finishes: `next` verifies the chunks actually add up).
-    pub(crate) fn total_items(&self) -> usize {
-        self.total
-    }
-
     /// Returns the next chunk, or `None` once the stream is complete.
     pub(crate) fn next<T: Transport + ?Sized, S: CommutativeScheme>(
         &mut self,
@@ -692,7 +686,6 @@ mod tests {
             let (mut a, mut b) = minshare_net::duplex_pair();
             send_codewords_chunked(&mut a, &g, &items, chunk_size).unwrap();
             let mut reader = ChunkedReader::begin(&mut b, &g, TAG_CODEWORDS, "codewords").unwrap();
-            assert_eq!(reader.total_items(), items.len());
             let mut got = Vec::new();
             while let Some(Message::Codewords(chunk)) = reader.next(&mut b, &g).unwrap() {
                 assert!(chunk.len() <= chunk_size);
@@ -725,7 +718,6 @@ mod tests {
         a.send(&Message::Codewords(items.clone()).encode(&g).unwrap())
             .unwrap();
         let mut reader = ChunkedReader::begin(&mut b, &g, TAG_CODEWORDS, "codewords").unwrap();
-        assert_eq!(reader.total_items(), 3);
         assert_eq!(
             reader.next(&mut b, &g).unwrap(),
             Some(Message::Codewords(items))

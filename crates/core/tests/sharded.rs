@@ -1,10 +1,8 @@
 //! Sharded-engine conformance: what the sharding layer promises beyond
-//! "same answer".
+//! "same answer". (Wire identity at `--shards 1` — no hello, the serial
+//! message sequence — is pinned by the golden transcripts in
+//! `transcripts.rs`.)
 //!
-//! * **Wire identity at `--shards 1`** — a single-shard config must put
-//!   *byte-identical frames* on the wire as the engine it delegates to,
-//!   frame for frame, on both sides, for all four protocols. The shard
-//!   layer at `B = 1` is a zero-cost wrapper, not a near-miss.
 //! * **Typed rejection of malformed hellos** — a sender offered a
 //!   corrupt, zero-bucket, oversized or truncated shard hello fails with
 //!   a [`ProtocolError`], never a panic.
@@ -19,7 +17,7 @@
 //!   matrix, for arbitrary multisets under the engine's real bucket
 //!   assignment.
 
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use minshare::leakage::{
     bucket_multiset_disclosure, bucket_size_disclosure, bucketed_class_intersections,
@@ -29,7 +27,7 @@ use minshare::prelude::*;
 use minshare::shard::{value_bucket, ShardConfig};
 use minshare_costmodel::reconcile::{reconcile_sharded, BucketTrace};
 use minshare_costmodel::section6::Protocol;
-use minshare_net::{duplex_pair, NetError, Transport};
+use minshare_net::{NetError, Transport};
 use minshare_trace::sink::RingSink;
 use minshare_trace::{TraceSink, Tracer};
 use proptest::prelude::*;
@@ -67,221 +65,6 @@ fn single_shard() -> ShardConfig {
         shards: 1,
         ..ShardConfig::default()
     }
-}
-
-// ---------------------------------------------------------------------
-// Wire identity at --shards 1
-// ---------------------------------------------------------------------
-
-/// Records every frame a party sends, in order (the conformance suite's
-/// technique, reused for the shard layer's delegation claim).
-struct RecordingTransport<T: Transport> {
-    inner: T,
-    sent: Arc<Mutex<Vec<Vec<u8>>>>,
-}
-
-impl<T: Transport> RecordingTransport<T> {
-    fn new(inner: T) -> (Self, Arc<Mutex<Vec<Vec<u8>>>>) {
-        let sent = Arc::new(Mutex::new(Vec::new()));
-        (
-            RecordingTransport {
-                inner,
-                sent: sent.clone(),
-            },
-            sent,
-        )
-    }
-}
-
-impl<T: Transport> Transport for RecordingTransport<T> {
-    fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
-        self.inner.send(frame)?;
-        self.sent.lock().unwrap().push(frame.to_vec());
-        Ok(())
-    }
-
-    fn recv(&mut self) -> Result<Vec<u8>, NetError> {
-        self.inner.recv()
-    }
-}
-
-/// Two-party run with frame recording on both sides.
-fn record_frames<SO: Send, RO: Send>(
-    sender: impl FnOnce(&mut dyn Transport) -> Result<SO, ProtocolError> + Send,
-    receiver: impl FnOnce(&mut dyn Transport) -> Result<RO, ProtocolError> + Send,
-) -> (Vec<Vec<u8>>, Vec<Vec<u8>>, SO, RO) {
-    let (s_end, r_end) = duplex_pair();
-    let (mut s_t, s_frames) = RecordingTransport::new(s_end);
-    let (mut r_t, r_frames) = RecordingTransport::new(r_end);
-    let (s_out, r_out) = std::thread::scope(|scope| {
-        let s = scope.spawn(move || sender(&mut s_t));
-        let r = scope.spawn(move || receiver(&mut r_t));
-        (s.join().unwrap(), r.join().unwrap())
-    });
-    let s_frames = Arc::try_unwrap(s_frames).unwrap().into_inner().unwrap();
-    let r_frames = Arc::try_unwrap(r_frames).unwrap().into_inner().unwrap();
-    (s_frames, r_frames, s_out.unwrap(), r_out.unwrap())
-}
-
-#[test]
-fn single_shard_intersection_is_frame_identical_to_pipelined() {
-    let g = group();
-    let (vs, vr) = (values(9, 0), values(7, 5));
-    let (base_s, base_r, _, base_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(3);
-            pipeline::run_intersection_sender(t, g, &vs, &mut rng, pool(), pipe())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(4);
-            pipeline::run_intersection_receiver(t, g, &vr, &mut rng, pool(), pipe())
-        },
-    );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(3);
-            shard::run_intersection_sender(t, g, &vs, &mut rng, pool(), pipe(), &single_shard())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(4);
-            shard::run_intersection_receiver(t, g, &vr, &mut rng, pool(), pipe(), &single_shard())
-        },
-    );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.intersection, shard_out.intersection);
-}
-
-#[test]
-fn single_shard_equijoin_is_frame_identical_to_pipelined() {
-    let g = group();
-    let cipher = HybridCipher::new(g.clone(), 24);
-    let entries: Vec<(Vec<u8>, Vec<u8>)> = values(8, 0)
-        .into_iter()
-        .map(|v| {
-            let mut ext = b"ext:".to_vec();
-            ext.extend_from_slice(&v);
-            (v, ext)
-        })
-        .collect();
-    let vr = values(6, 4);
-    let (base_s, base_r, _, base_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(5);
-            pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, pool(), pipe())
-        },
-        |t| {
-            let cipher = HybridCipher::new(g.clone(), 24);
-            let mut rng = StdRng::seed_from_u64(6);
-            pipeline::run_equijoin_receiver(t, g, &cipher, &vr, &mut rng, pool(), pipe())
-        },
-    );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(5);
-            shard::run_equijoin_sender(
-                t,
-                g,
-                &cipher,
-                &entries,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
-        |t| {
-            let cipher = HybridCipher::new(g.clone(), 24);
-            let mut rng = StdRng::seed_from_u64(6);
-            shard::run_equijoin_receiver(
-                t,
-                g,
-                &cipher,
-                &vr,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
-    );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.matches, shard_out.matches);
-}
-
-#[test]
-fn single_shard_size_protocols_are_frame_identical_to_serial() {
-    let g = group();
-    let (vs, vr) = (values(9, 0), values(7, 5));
-    let (base_s, base_r, _, base_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(7);
-            intersection_size::run_sender(t, g, &vs, &mut rng)
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(8);
-            intersection_size::run_receiver(t, g, &vr, &mut rng)
-        },
-    );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(7);
-            shard::run_intersection_size_sender(
-                t,
-                g,
-                &vs,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(8);
-            shard::run_intersection_size_receiver(
-                t,
-                g,
-                &vr,
-                &mut rng,
-                pool(),
-                pipe(),
-                &single_shard(),
-            )
-        },
-    );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.intersection_size, shard_out.intersection_size);
-
-    // Equijoin size: multisets with duplicate classes.
-    let mut ms = values(6, 0);
-    ms.extend(values(3, 0)); // duplicates
-    let mr = values(5, 2);
-    let (base_s, base_r, _, base_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(9);
-            equijoin_size::run_sender(t, g, &ms, &mut rng)
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(10);
-            equijoin_size::run_receiver(t, g, &mr, &mut rng)
-        },
-    );
-    let (shard_s, shard_r, _, shard_out) = record_frames(
-        |t| {
-            let mut rng = StdRng::seed_from_u64(9);
-            shard::run_equijoin_size_sender(t, g, &ms, &mut rng, pool(), pipe(), &single_shard())
-        },
-        |t| {
-            let mut rng = StdRng::seed_from_u64(10);
-            shard::run_equijoin_size_receiver(t, g, &mr, &mut rng, pool(), pipe(), &single_shard())
-        },
-    );
-    assert_eq!(base_s, shard_s, "sender frames diverge at --shards 1");
-    assert_eq!(base_r, shard_r, "receiver frames diverge at --shards 1");
-    assert_eq!(base_out.join_size, shard_out.join_size);
-    assert_eq!(base_out.class_intersections, shard_out.class_intersections);
 }
 
 // ---------------------------------------------------------------------

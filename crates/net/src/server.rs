@@ -479,9 +479,19 @@ struct PendingOpen {
     reply: Sender<Result<Receiver<Vec<u8>>, NetError>>,
 }
 
+/// A request to the client driver. `Open` and `Stats` carry their first
+/// frame, which the driver writes only after registering the pending
+/// reply — so an answer can never arrive before there is anyone to hand
+/// it to. Retransmissions go through the ordinary outbound queue.
 enum ClientCtl {
-    Open { session: u32, pending: PendingOpen },
-    Stats { reply: Sender<Result<Vec<u8>, NetError>> },
+    Open {
+        session: u32,
+        request: Vec<u8>,
+        pending: PendingOpen,
+    },
+    Stats {
+        reply: Sender<Result<Vec<u8>, NetError>>,
+    },
     Close,
 }
 
@@ -533,14 +543,17 @@ impl MuxClient {
         self.ctl_tx
             .send(ClientCtl::Open {
                 session: sid,
+                request: request.to_vec(),
                 pending: PendingOpen { reply: reply_tx },
             })
             .map_err(|_| NetError::Closed)?;
         let timeout = std::time::Duration::from_millis(self.config.open_timeout_ms);
-        for _ in 0..self.config.open_attempts.max(1) {
-            self.out_tx
-                .send(MuxFrame::open(sid, request.to_vec()))
-                .map_err(|_| NetError::Closed)?;
+        for attempt in 0..self.config.open_attempts.max(1) {
+            if attempt > 0 {
+                self.out_tx
+                    .send(MuxFrame::open(sid, request.to_vec()))
+                    .map_err(|_| NetError::Closed)?;
+            }
             match reply_rx.recv_timeout(timeout) {
                 Ok(Ok(inbound)) => {
                     return Ok(SessionTransport::new(sid, self.out_tx.clone(), inbound))
@@ -570,10 +583,12 @@ impl MuxClient {
             .send(ClientCtl::Stats { reply: reply_tx })
             .map_err(|_| NetError::Closed)?;
         let timeout = std::time::Duration::from_millis(self.config.open_timeout_ms);
-        for _ in 0..self.config.open_attempts.max(1) {
-            self.out_tx
-                .send(MuxFrame::control(MuxKind::Stats, 0))
-                .map_err(|_| NetError::Closed)?;
+        for attempt in 0..self.config.open_attempts.max(1) {
+            if attempt > 0 {
+                self.out_tx
+                    .send(MuxFrame::control(MuxKind::Stats, 0))
+                    .map_err(|_| NetError::Closed)?;
+            }
             match reply_rx.recv_timeout(timeout) {
                 Ok(result) => return result,
                 Err(RecvTimeoutError::Timeout) => {}
@@ -622,23 +637,33 @@ fn client_driver<T: DeadlineTransport>(
     let mut remote_goaway = false;
     let mut closing = false;
     loop {
+        let mut first_frames = Vec::new();
         while let Ok(ctl) = ctl_rx.try_recv() {
             match ctl {
-                ClientCtl::Open { session, pending: p } => {
+                ClientCtl::Open {
+                    session,
+                    request,
+                    pending: p,
+                } => {
                     if remote_goaway {
                         let _ = p.reply.send(Err(NetError::Busy { limit: 0 }));
                     } else {
                         pending.insert(session, p);
+                        first_frames.push(MuxFrame::open(session, request));
                     }
                 }
                 // Stats stay answerable while draining: a scrape of a
                 // shutting-down daemon still sees its final counters.
-                ClientCtl::Stats { reply } => pending_stats.push_back(reply),
+                ClientCtl::Stats { reply } => {
+                    pending_stats.push_back(reply);
+                    first_frames.push(MuxFrame::control(MuxKind::Stats, 0));
+                }
                 ClientCtl::Close => closing = true,
             }
         }
         let mut peer_gone = false;
-        while let Ok(frame) = out_rx.try_recv() {
+        let queued = std::iter::from_fn(|| out_rx.try_recv().ok());
+        for frame in first_frames.into_iter().chain(queued) {
             match transport.send(&frame.encode()) {
                 Ok(()) => {}
                 // The server hung up (surfaced as `Closed`, or as retry
@@ -779,6 +804,59 @@ mod tests {
         });
         let client = MuxClient::new(client_end, fast_config());
         (client, shutdown, server)
+    }
+
+    /// A peer that answers every OPEN with an ACCEPT the moment it is
+    /// written, and never blocks a receive: the ACCEPT is back before the
+    /// driver's next poll, the tightest timing a real server can produce.
+    struct InstantAcceptor {
+        replies: std::collections::VecDeque<Vec<u8>>,
+    }
+
+    impl Transport for InstantAcceptor {
+        fn send(&mut self, frame: &[u8]) -> Result<(), NetError> {
+            if let Ok(frame) = MuxFrame::decode(frame) {
+                if frame.kind == MuxKind::Open {
+                    let accept = MuxFrame::control(MuxKind::Accept, frame.session);
+                    self.replies.push_back(accept.encode());
+                }
+            }
+            Ok(())
+        }
+
+        fn recv(&mut self) -> Result<Vec<u8>, NetError> {
+            self.replies.pop_front().ok_or(NetError::Closed)
+        }
+    }
+
+    impl DeadlineTransport for InstantAcceptor {
+        fn recv_deadline(&mut self, _timeout_ms: u64) -> Result<Option<Vec<u8>>, NetError> {
+            Ok(self.replies.pop_front())
+        }
+    }
+
+    /// Back-to-back opens against an instant ACCEPT never lose the
+    /// answer: the driver registers each pending open before it writes
+    /// the OPEN frame, so no open waits out its timeout.
+    #[test]
+    fn instant_accepts_never_stall_an_open() {
+        let config = MuxConfig {
+            poll_interval_ms: 1,
+            open_timeout_ms: 2_000,
+            open_attempts: 1,
+            ..MuxConfig::default()
+        };
+        let peer = InstantAcceptor {
+            replies: std::collections::VecDeque::new(),
+        };
+        let mut client = MuxClient::new(peer, config);
+        for i in 0..3000 {
+            match client.open_session(b"req") {
+                Ok(session) => drop(session),
+                Err(e) => panic!("open {i} failed: {e:?}"),
+            }
+        }
+        client.close().unwrap();
     }
 
     #[test]

@@ -134,11 +134,27 @@ fn run_intersection(plan: &FaultPlan) -> SimTwoPartyRun<
         plan,
         move |t| {
             let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, chunked())
+            shard::run_intersection_sender(
+                t,
+                g,
+                &s_vals,
+                &mut rng,
+                p,
+                chunked(),
+                &ShardConfig::default(),
+            )
         },
         move |t| {
             let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, chunked())
+            shard::run_intersection_receiver(
+                t,
+                g,
+                &r_vals,
+                &mut rng,
+                p,
+                chunked(),
+                &ShardConfig::default(),
+            )
         },
     )
 }
@@ -163,12 +179,30 @@ fn run_equijoin(plan: &FaultPlan) -> SimTwoPartyRun<
         move |t| {
             let cipher = HybridCipher::new(g.clone(), 16);
             let mut rng = StdRng::seed_from_u64(9);
-            pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, p, chunked())
+            shard::run_equijoin_sender(
+                t,
+                g,
+                &cipher,
+                &entries,
+                &mut rng,
+                p,
+                chunked(),
+                &ShardConfig::default(),
+            )
         },
         move |t| {
             let cipher = HybridCipher::new(g.clone(), 16);
             let mut rng = StdRng::seed_from_u64(10);
-            pipeline::run_equijoin_receiver(t, g, &cipher, &r_vals, &mut rng, p, chunked())
+            shard::run_equijoin_receiver(
+                t,
+                g,
+                &cipher,
+                &r_vals,
+                &mut rng,
+                p,
+                chunked(),
+                &ShardConfig::default(),
+            )
         },
     )
 }
@@ -352,10 +386,11 @@ fn heavy_corruption_never_yields_a_wrong_answer() {
 }
 
 // ---------------------------------------------------------------------
-// Serial-fallback wire identity: a pipelined engine whose config says
-// "fall back" (`serial_below` above every list size — what `calibrated`
-// returns on a worker-less pool) must put *byte-identical frames* on the
-// wire as the serial engine, in the same order, on both sides.
+// Serial-fallback wire identity: a one-bucket pooled engine whose config
+// says "fall back" (`serial_below` above every list size — what
+// `calibrated` returns on a worker-less pool) must put *byte-identical
+// frames* on the wire as the serial engine, in the same order, on both
+// sides, for all four protocols.
 // ---------------------------------------------------------------------
 
 /// Records every frame a party sends, in order. The default
@@ -440,11 +475,27 @@ fn intersection_serial_fallback_is_wire_identical_to_serial() {
     let (pip_s, pip_r, _, pip_out) = record_frames(
         |t| {
             let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, fallback_cfg())
+            shard::run_intersection_sender(
+                t,
+                g,
+                &s_vals,
+                &mut rng,
+                p,
+                fallback_cfg(),
+                &ShardConfig::default(),
+            )
         },
         |t| {
             let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, fallback_cfg())
+            shard::run_intersection_receiver(
+                t,
+                g,
+                &r_vals,
+                &mut rng,
+                p,
+                fallback_cfg(),
+                &ShardConfig::default(),
+            )
         },
     );
     assert_eq!(ser_s, pip_s, "sender frames diverge in fallback mode");
@@ -482,12 +533,30 @@ fn equijoin_serial_fallback_is_wire_identical_to_serial() {
         |t| {
             let cipher = HybridCipher::new(g.clone(), 16);
             let mut rng = StdRng::seed_from_u64(9);
-            pipeline::run_equijoin_sender(t, g, &cipher, &entries, &mut rng, p, fallback_cfg())
+            shard::run_equijoin_sender(
+                t,
+                g,
+                &cipher,
+                &entries,
+                &mut rng,
+                p,
+                fallback_cfg(),
+                &ShardConfig::default(),
+            )
         },
         |t| {
             let cipher = HybridCipher::new(g.clone(), 16);
             let mut rng = StdRng::seed_from_u64(10);
-            pipeline::run_equijoin_receiver(t, g, &cipher, &r_vals, &mut rng, p, fallback_cfg())
+            shard::run_equijoin_receiver(
+                t,
+                g,
+                &cipher,
+                &r_vals,
+                &mut rng,
+                p,
+                fallback_cfg(),
+                &ShardConfig::default(),
+            )
         },
     );
     assert_eq!(ser_s, pip_s, "sender frames diverge in fallback mode");
@@ -496,9 +565,70 @@ fn equijoin_serial_fallback_is_wire_identical_to_serial() {
 }
 
 #[test]
+fn intersection_size_serial_fallback_is_wire_identical_to_serial() {
+    let (g, p) = (group(), pool());
+    let (s_vals, r_vals) = (vs(), vr());
+    let (ser_s, ser_r, _, ser_out) = record_frames(
+        |t| {
+            let mut rng = StdRng::seed_from_u64(11);
+            intersection_size::run_sender(t, g, &s_vals, &mut rng)
+        },
+        |t| {
+            let mut rng = StdRng::seed_from_u64(12);
+            intersection_size::run_receiver(t, g, &r_vals, &mut rng)
+        },
+    );
+    let one = ShardConfig::default();
+    let (pip_s, pip_r, _, pip_out) = record_frames(
+        |t| {
+            let mut rng = StdRng::seed_from_u64(11);
+            shard::run_intersection_size_sender(t, g, &s_vals, &mut rng, p, fallback_cfg(), &one)
+        },
+        |t| {
+            let mut rng = StdRng::seed_from_u64(12);
+            shard::run_intersection_size_receiver(t, g, &r_vals, &mut rng, p, fallback_cfg(), &one)
+        },
+    );
+    assert_eq!(ser_s, pip_s, "sender frames diverge in fallback mode");
+    assert_eq!(ser_r, pip_r, "receiver frames diverge in fallback mode");
+    assert_eq!(ser_out.intersection_size, pip_out.intersection_size);
+}
+
+#[test]
+fn equijoin_size_serial_fallback_is_wire_identical_to_serial() {
+    let (g, p) = (group(), pool());
+    let (s_vals, r_vals) = (ms(), mr());
+    let (ser_s, ser_r, _, ser_out) = record_frames(
+        |t| {
+            let mut rng = StdRng::seed_from_u64(13);
+            equijoin_size::run_sender(t, g, &s_vals, &mut rng)
+        },
+        |t| {
+            let mut rng = StdRng::seed_from_u64(14);
+            equijoin_size::run_receiver(t, g, &r_vals, &mut rng)
+        },
+    );
+    let one = ShardConfig::default();
+    let (pip_s, pip_r, _, pip_out) = record_frames(
+        |t| {
+            let mut rng = StdRng::seed_from_u64(13);
+            shard::run_equijoin_size_sender(t, g, &s_vals, &mut rng, p, fallback_cfg(), &one)
+        },
+        |t| {
+            let mut rng = StdRng::seed_from_u64(14);
+            shard::run_equijoin_size_receiver(t, g, &r_vals, &mut rng, p, fallback_cfg(), &one)
+        },
+    );
+    assert_eq!(ser_s, pip_s, "sender frames diverge in fallback mode");
+    assert_eq!(ser_r, pip_r, "receiver frames diverge in fallback mode");
+    assert_eq!(ser_out.join_size, pip_out.join_size);
+    assert_eq!(ser_out.class_intersections, pip_out.class_intersections);
+}
+
+#[test]
 fn calibrated_config_on_workerless_pool_always_falls_back() {
     let g = group();
-    let solo = EncryptPool::new(1); // clamps to zero workers on any host
+    let solo = EncryptPool::with_workers(0);
     assert_eq!(solo.threads(), 0);
     let cfg = PipelineConfig::calibrated(g, &solo);
     assert_eq!(cfg.serial_below, usize::MAX);
@@ -536,12 +666,28 @@ fn trace_digest_is_reproducible_from_the_simnet_seed() {
                 move |t| {
                     let _trace = minshare_trace::install(traced(&ss));
                     let mut rng = StdRng::seed_from_u64(7);
-                    pipeline::run_intersection_sender(t, g, &s_vals, &mut rng, p, chunked())
+                    shard::run_intersection_sender(
+                        t,
+                        g,
+                        &s_vals,
+                        &mut rng,
+                        p,
+                        chunked(),
+                        &ShardConfig::default(),
+                    )
                 },
                 move |t| {
                     let _trace = minshare_trace::install(traced(&rs));
                     let mut rng = StdRng::seed_from_u64(8);
-                    pipeline::run_intersection_receiver(t, g, &r_vals, &mut rng, p, chunked())
+                    shard::run_intersection_receiver(
+                        t,
+                        g,
+                        &r_vals,
+                        &mut rng,
+                        p,
+                        chunked(),
+                        &ShardConfig::default(),
+                    )
                 },
             )
         };
@@ -605,11 +751,27 @@ fn pipelined_metrics_equal_serial_metrics() {
     let fallback = metrics_of(
         |t| {
             let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &vs(), &mut rng, p, fallback_cfg())
+            shard::run_intersection_sender(
+                t,
+                g,
+                &vs(),
+                &mut rng,
+                p,
+                fallback_cfg(),
+                &ShardConfig::default(),
+            )
         },
         |t| {
             let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &vr(), &mut rng, p, fallback_cfg())
+            shard::run_intersection_receiver(
+                t,
+                g,
+                &vr(),
+                &mut rng,
+                p,
+                fallback_cfg(),
+                &ShardConfig::default(),
+            )
         },
     );
     let serial_ce = ce_ops(&serial, "intersection");
@@ -628,11 +790,27 @@ fn pipelined_metrics_equal_serial_metrics() {
     let streamed = metrics_of(
         |t| {
             let mut rng = StdRng::seed_from_u64(7);
-            pipeline::run_intersection_sender(t, g, &vs(), &mut rng, p, chunked())
+            shard::run_intersection_sender(
+                t,
+                g,
+                &vs(),
+                &mut rng,
+                p,
+                chunked(),
+                &ShardConfig::default(),
+            )
         },
         |t| {
             let mut rng = StdRng::seed_from_u64(8);
-            pipeline::run_intersection_receiver(t, g, &vr(), &mut rng, p, chunked())
+            shard::run_intersection_receiver(
+                t,
+                g,
+                &vr(),
+                &mut rng,
+                p,
+                chunked(),
+                &ShardConfig::default(),
+            )
         },
     );
     assert_eq!(ce_ops(&streamed, "intersection"), serial_ce);

@@ -172,8 +172,9 @@ proptest! {
 // Pipelined-vs-serial-vs-naive differential suite: for arbitrary value
 // sets (duplicates, empty sides, tiny overlaps all arise from the
 // generator; the explicit edge test below pins the important shapes),
-// the chunk-pipelined engines must agree with the serial engines, and
-// both must agree with clear-text set algebra (`naive.rs`).
+// the chunk-pipelined engines (the pooled engines at one bucket) must
+// agree with the serial engines, for intersection and both -size
+// variants, and both must agree with clear-text set algebra (`naive.rs`).
 // ---------------------------------------------------------------------
 
 proptest! {
@@ -199,20 +200,74 @@ proptest! {
                 intersection::run_receiver(t, g, &vr, &mut rng)
             },
         ).expect("serial");
+        let one = ShardConfig::default();
         let piped = run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                pipeline::run_intersection_sender(t, g, &vs, &mut rng, &pool, cfg)
+                shard::run_intersection_sender(t, g, &vs, &mut rng, &pool, cfg, &one)
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xaaaa);
-                pipeline::run_intersection_receiver(t, g, &vr, &mut rng, &pool, cfg)
+                shard::run_intersection_receiver(t, g, &vr, &mut rng, &pool, cfg, &one)
             },
         ).expect("pipelined");
         prop_assert_eq!(&piped.sender, &serial.sender);
         prop_assert_eq!(&piped.receiver, &serial.receiver);
         let (clear, _) = minshare::naive::naive_intersection(&vs, &vr);
         prop_assert_eq!(&piped.receiver.intersection, &clear);
+
+        // The -size variants, one bucket, chunked.
+        let serial = run_two_party(
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                intersection_size::run_sender(t, g, &vs, &mut rng)
+            },
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xaaaa);
+                intersection_size::run_receiver(t, g, &vr, &mut rng)
+            },
+        ).expect("serial size");
+        let piped = run_two_party(
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                shard::run_intersection_size_sender(t, g, &vs, &mut rng, &pool, cfg, &one)
+            },
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xaaaa);
+                shard::run_intersection_size_receiver(t, g, &vr, &mut rng, &pool, cfg, &one)
+            },
+        ).expect("pipelined size");
+        prop_assert_eq!(&piped.sender, &serial.sender);
+        prop_assert_eq!(&piped.receiver, &serial.receiver);
+        prop_assert_eq!(piped.receiver.intersection_size, clear.len());
+
+        let serial = run_two_party(
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                equijoin_size::run_sender(t, g, &vs, &mut rng)
+            },
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xaaaa);
+                equijoin_size::run_receiver(t, g, &vr, &mut rng)
+            },
+        ).expect("serial join size");
+        let piped = run_two_party(
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed);
+                shard::run_equijoin_size_sender(t, g, &vs, &mut rng, &pool, cfg, &one)
+            },
+            |t| {
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xaaaa);
+                shard::run_equijoin_size_receiver(t, g, &vr, &mut rng, &pool, cfg, &one)
+            },
+        ).expect("pipelined join size");
+        prop_assert_eq!(&piped.sender, &serial.sender);
+        prop_assert_eq!(&piped.receiver, &serial.receiver);
+        let clear_join: u64 = vr
+            .iter()
+            .map(|v| vs.iter().filter(|s| *s == v).count() as u64)
+            .sum();
+        prop_assert_eq!(piped.receiver.join_size, clear_join);
     }
 }
 
@@ -221,6 +276,7 @@ fn pipelined_edge_shapes_agree_with_naive() {
     let g = group();
     let pool = EncryptPool::new(2);
     let cfg = PipelineConfig::chunked(2);
+    let one = ShardConfig::default();
     let cases: Vec<(Vec<Vec<u8>>, Vec<Vec<u8>>)> = vec![
         (vec![], vec![]),                                     // both empty
         (vec![], vec![vec![1], vec![2]]),                     // empty sender
@@ -233,11 +289,11 @@ fn pipelined_edge_shapes_agree_with_naive() {
         let run = run_two_party(
             |t| {
                 let mut rng = StdRng::seed_from_u64(31);
-                pipeline::run_intersection_sender(t, g, &vs, &mut rng, &pool, cfg)
+                shard::run_intersection_sender(t, g, &vs, &mut rng, &pool, cfg, &one)
             },
             |t| {
                 let mut rng = StdRng::seed_from_u64(32);
-                pipeline::run_intersection_receiver(t, g, &vr, &mut rng, &pool, cfg)
+                shard::run_intersection_receiver(t, g, &vr, &mut rng, &pool, cfg, &one)
             },
         )
         .expect("run");

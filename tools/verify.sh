@@ -64,12 +64,14 @@ echo "$profile_json" | grep -q '"profile": *"smoke"'
 # counters), typed Busy shedding, and graceful-shutdown draining.
 cargo test -q --test multisession
 # Daemon smoke over real loopback TCP: one `minshare serve` process;
-# two concurrent `minshare client` sessions (intersection + equijoin),
-# then a *sharded size-variant* session (intersection-size over 3
-# client-elected buckets), then a live `minshare stats` scrape whose
-# counters must equal the leakage-model ground truth, then a fourth
-# session to trip `--shutdown-after 4` — which doubles as the
-# graceful-shutdown check: the daemon must drain and exit 0 by itself.
+# two concurrent `minshare client` sessions (intersection, and equijoin
+# over 2 client-elected buckets), then a *sharded size-variant* session
+# (intersection-size over 3 buckets), then a live `minshare stats`
+# scrape whose counters must equal the leakage-model ground truth, then
+# a fourth session (equijoin-size over 2 buckets) to trip
+# `--shutdown-after 4` — which doubles as the graceful-shutdown check:
+# the daemon must drain and exit 0 by itself. All four protocols run
+# sharded between them.
 # A zero-capacity daemon afterwards proves typed Busy shedding.
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
@@ -93,7 +95,7 @@ port=$(cat "$smoke_dir/port.txt")
     --values "$smoke_dir/c1.txt" --seed 1 > "$smoke_dir/c1.out" 2>&1 &
 c1_pid=$!
 "$minshare" client --connect "127.0.0.1:$port" --protocol equijoin \
-    --values "$smoke_dir/c2.txt" --seed 2 > "$smoke_dir/c2.out" 2>&1 &
+    --values "$smoke_dir/c2.txt" --seed 2 --shards 2 > "$smoke_dir/c2.out" 2>&1 &
 c2_pid=$!
 wait "$c1_pid"
 wait "$c2_pid"
@@ -120,10 +122,13 @@ grep -q '"leakage/size_disclosure/revealed{peer=3}":4' "$smoke_dir/stats.out"
 grep -q '"leakage/size_disclosure/learned{peer=3}":4' "$smoke_dir/stats.out"
 grep -q '"protocol/intersection-size/duration_ns":{"count":1' "$smoke_dir/stats.out"
 # Fourth session outcome trips --shutdown-after 4: the daemon drains and
-# exits 0 on its own — a hung or crashed daemon fails here.
-"$minshare" client --connect "127.0.0.1:$port" --protocol intersection \
-    --values "$smoke_dir/c1.txt" --seed 4 > "$smoke_dir/c4.out" 2>&1
+# exits 0 on its own — a hung or crashed daemon fails here. It is a
+# sharded equijoin-size session; its answer is the join size (grape,
+# melon → 2).
+"$minshare" client --connect "127.0.0.1:$port" --protocol equijoin-size \
+    --values "$smoke_dir/c1.txt" --seed 4 --shards 2 > "$smoke_dir/c4.out" 2>&1
 wait "$serve_pid"
+grep -q '^2$' "$smoke_dir/c4.out"
 grep -q '^grape$' "$smoke_dir/c1.out"
 grep -q '^melon$' "$smoke_dir/c1.out"
 grep -q 'apple	ext:apple' "$smoke_dir/c2.out"
@@ -132,6 +137,7 @@ grep -q 'apple	ext:apple' "$smoke_dir/c2.out"
 grep -q 'protocol=intersection' "$smoke_dir/serve.out"
 grep -q 'protocol=equijoin' "$smoke_dir/serve.out"
 grep -q 'protocol=intersection-size' "$smoke_dir/serve.out"
+grep -q 'protocol=equijoin-size' "$smoke_dir/serve.out"
 grep -q 'status=ok' "$smoke_dir/c1.out"
 grep -q 'status=ok' "$smoke_dir/c2.out"
 grep -q 'status=ok' "$smoke_dir/c4.out"
